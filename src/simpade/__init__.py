@@ -10,8 +10,8 @@ from .adjrow import AdjRowResult, adjoint_first_row, det_power_of_x, \
     lifted_vector_solve
 from .appbasis import (ApproximantBasisResult, NegativePart, m_basis,
                        neg_min_basis, pm_basis, popov_basis)
-from .ffpoly import (NEG_INF, FieldElement, Poly, PrimeField, is_prime,
-                     poly_divrem, poly_mul, poly_substitute_shift)
+from .ffpoly import (NEG_INF, Poly, PrimeField, is_prime, poly_divrem,
+                     poly_mul, poly_substitute_shift)
 from .oracle import SolutionSpace, oracle_solution_space, spec_matches_oracle
 from .polymat import (PolyMatrix, cofactor_adjoint, determinant,
                       is_popov, is_row_reduced, mat_mul, popov_canonical,
@@ -23,8 +23,8 @@ from .solvers import (PreconditionError, ProblemInstance, SolutionSpec,
                       validate_instance, verify_solution)
 
 __all__ = [
-    "AdjRowResult", "ApproximantBasisResult", "FieldElement", "NEG_INF",
-    "NegativePart", "Poly", "PolyMatrix", "PreconditionError",
+    "AdjRowResult", "ApproximantBasisResult", "NEG_INF", "NegativePart",
+    "Poly", "PolyMatrix", "PreconditionError",
     "PrimeField", "ProblemInstance", "SolutionSpace", "SolutionSpec",
     "ValidationError", "adjoint_first_row", "cofactor_adjoint", "complete",
     "det_power_of_x", "determinant", "direct_sim_pade", "duality_sim_pade",

@@ -12,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ffpoly import Poly, poly_substitute_shift
-from .polymat import (NEG_INF, PolyMatrix, determinant, mat_mul_trunc,
-                      vec_mat_mul)
+from .polymat import (NEG_INF, PolyMatrix, determinant, gauss_jordan,
+                      mat_mul_trunc, vec_mat_mul)
 
-_DEBUG_DET_MAX_DIM = 6
+# det F(1) = 1 does not imply det F = x^D, and the residual check of the
+# lifted solve does not catch it either: over GF(3), diag(1, x^2 + x + 2)
+# passes both and yields the row (x^2, 0).  Small matrices therefore get
+# an exact determinant.
+_EXACT_DET_MAX_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -42,59 +46,20 @@ def det_power_of_x(F):
         if d == NEG_INF:
             raise ValueError("determinant is not a power of x (zero diagonal)")
         exponent += int(d)
-    if n <= _DEBUG_DET_MAX_DIM:
+    if n <= _EXACT_DET_MAX_DIM:
         det = determinant(F)
         field = F.field
         expected = Poly(field, (0,) * exponent + (1,))
         if det != expected:
             raise ValueError("determinant is not a power of x")
     else:
-        if _det_at_one(F) != 1:
+        if gauss_jordan(_const_matrix(F, 1), F.field.p)[2] != 1:
             raise ValueError("determinant is not a power of x (det F(1) != 1)")
     return exponent
 
 
 def _const_matrix(F, alpha):
     return [[e(alpha) for e in row] for row in F.rows]
-
-
-def _det_at_one(F):
-    p = F.field.p
-    m = _const_matrix(F, 1)
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for i in range(col + 1, n):
-            f = m[i][col] * inv % p
-            if f:
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[col])]
-    return det % p
-
-
-def _invert_const(mat, p):
-    n = len(mat)
-    m = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] % p), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], p - 2, p)
-        m[col] = [v * inv % p for v in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] % p:
-                f = m[i][col] % p
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[col])]
-    return [row[n:] for row in m]
 
 
 def lifted_vector_solve(v, F, precision):
@@ -111,29 +76,30 @@ def lifted_vector_solve(v, F, precision):
     if precision < 1:
         raise ValueError("precision must be positive")
     field = F.field
-    p = field.p
-    one = field(1)
-    Fh = PolyMatrix(field, [[poly_substitute_shift(e, one) for e in row]
+    n = F.nrows
+    Fh = PolyMatrix(field, [[poly_substitute_shift(e, 1) for e in row]
                             for row in F.rows])
-    vh = tuple(poly_substitute_shift(e, one) for e in v)
-    const_inv = _invert_const(_const_matrix(Fh, 0), p)
-    if const_inv is None:
+    vh = tuple(poly_substitute_shift(e, 1) for e in v)
+    # invert Fh(0) by eliminating [Fh(0) | I]
+    augmented = [row + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(_const_matrix(Fh, 0))]
+    reduced, _, det = gauss_jordan(augmented, field.p)
+    if not det:
         raise ValueError("matrix is singular at the expansion point")
-    X = PolyMatrix(field, [[Poly(field, (c,)) for c in row]
-                           for row in const_inv])
-    ident = PolyMatrix.identity(field, F.nrows)
+    X = PolyMatrix(field, [[Poly(field, (c,)) for c in row[n:]]
+                           for row in reduced])
+    ident = PolyMatrix.identity(field, n)
     two_i = PolyMatrix(field, [[e + e for e in row] for row in ident.rows])
     prec = 1
     while prec < precision:
         prec = min(2 * prec, precision)
         FX = mat_mul_trunc(Fh.truncated(prec), X, prec)
         corr = PolyMatrix(field, [[two_i.entry(i, j) - FX.entry(i, j)
-                                   for j in range(F.nrows)]
-                                  for i in range(F.nrows)])
+                                   for j in range(n)]
+                                  for i in range(n)])
         X = mat_mul_trunc(X, corr, prec)
     wh = tuple(e.truncated(precision) for e in vec_mat_mul(vh, X))
-    minus_one = field(-1)
-    w = tuple(poly_substitute_shift(e, minus_one) for e in wh)
+    w = tuple(poly_substitute_shift(e, -1) for e in wh)
     if vec_mat_mul(w, F) != tuple(v):
         raise ValueError("no polynomial solution at the requested precision")
     return w

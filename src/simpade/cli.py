@@ -194,6 +194,11 @@ def _cmd_verify(args):
         check("matches-oracle", spec_matches_oracle(spec, instance))
     except ValueError:
         print("skip matches-oracle (instance exceeds oracle size guard)")
+        if not spec.k:
+            # no rows to check and no oracle: nothing supports the claim
+            print("FAIL empty-claim (unverified: no solutions claimed and "
+                  "the oracle check was skipped)")
+            failures.append("empty-claim")
     return EXIT_VERIFY if failures else EXIT_OK
 
 

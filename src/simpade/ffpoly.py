@@ -1,5 +1,6 @@
 """Exact arithmetic in GF(p) and dense univariate polynomials over GF(p).
 
+Field elements are plain ints; every operation reduces them into [0, p).
 Polynomials are stored as tuples of integers in [0, p), ascending degree,
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree NEG_INF.  All values are immutable, all operations are pure.
@@ -44,13 +45,19 @@ def is_prime(n):
 
 
 class PrimeField:
-    """The prime field GF(p)."""
+    """The prime field GF(p) for a prime p < 2^64.
+
+    Coefficients are packed as unsigned 64-bit words for Kronecker
+    multiplication, so larger moduli are rejected.
+    """
 
     __slots__ = ("p",)
 
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
+        if p >= 2**64:
+            raise ValueError(f"modulus {p} is not below 2^64")
         self.p = p
 
     def __eq__(self, other):
@@ -62,29 +69,11 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         return pow(a, self.p - 2, self.p)
-
-    def __call__(self, value):
-        return FieldElement(self, value)
-
-    def poly(self, coeffs=()):
-        return Poly(self, coeffs)
 
     def x(self):
         return Poly(self, (0, 1))
@@ -94,68 +83,6 @@ class PrimeField:
 
     def zero(self):
         return Poly(self, ())
-
-
-class FieldElement:
-    """An element of GF(p); value is always reduced into [0, p)."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        if isinstance(value, FieldElement):
-            _check_same_field(field, value.field)
-            value = value.value
-        self.field = field
-        self.value = value % field.p
-
-    def __add__(self, other):
-        other = _as_element(self.field, other)
-        return FieldElement(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_element(self.field, other)
-        return FieldElement(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        return _as_element(self.field, other) - self
-
-    def __mul__(self, other):
-        other = _as_element(self.field, other)
-        return FieldElement(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.value)
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __truediv__(self, other):
-        return self * _as_element(self.field, other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.value == self.value)
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value} in {self.field!r}"
-
-
-def _as_element(field, v):
-    if isinstance(v, FieldElement):
-        _check_same_field(field, v.field)
-        return v
-    if isinstance(v, int):
-        return FieldElement(field, v)
-    raise TypeError(f"cannot coerce {v!r} into {field!r}")
 
 
 def _check_same_field(f1, f2):
@@ -271,15 +198,8 @@ class Poly:
 
     def __init__(self, field, coeffs=()):
         p = field.p
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                _check_same_field(field, c.field)
-                vals.append(c.value)
-            else:
-                vals.append(c % p)
         self.field = field
-        self.coeffs = _strip(tuple(vals))
+        self.coeffs = _strip(tuple(c % p for c in coeffs))
 
     @classmethod
     def _raw(cls, field, coeffs):
@@ -323,11 +243,11 @@ class Poly:
         return Poly._raw(self.field, tuple(-c % p for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int) or isinstance(other, FieldElement):
-            c = _as_element(self.field, other).value
+        if isinstance(other, int):
+            p = self.field.p
+            c = other % p
             if c == 0:
                 return Poly._raw(self.field, ())
-            p = self.field.p
             return Poly._raw(self.field, tuple(c * v % p for v in self.coeffs))
         other = self._coerce(other)
         return Poly._raw(self.field,
@@ -356,15 +276,9 @@ class Poly:
         """Remainder modulo x^k."""
         return Poly._raw(self.field, _strip(self.coeffs[:max(k, 0)]))
 
-    def monic(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("zero polynomial has no monic scaling")
-        inv = self.field.inv(self.coeffs[-1])
-        return self * inv
-
     def __call__(self, alpha):
-        alpha = _as_element(self.field, alpha).value
         p = self.field.p
+        alpha %= p
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * alpha + c) % p
@@ -374,8 +288,8 @@ class Poly:
         if isinstance(other, Poly):
             _check_same_field(self.field, other.field)
             return other
-        if isinstance(other, (int, FieldElement)):
-            return Poly(self.field, (_as_element(self.field, other).value,))
+        if isinstance(other, int):
+            return Poly(self.field, (other,))
         raise TypeError(f"cannot coerce {other!r} to a polynomial")
 
     def __eq__(self, other):
@@ -423,8 +337,8 @@ def poly_divrem(a, b):
 
 def poly_substitute_shift(a, alpha):
     """Return a(x + alpha); involutive with -alpha."""
-    alpha = _as_element(a.field, alpha).value
     p = a.field.p
+    alpha %= p
     if alpha == 0 or a.is_zero():
         return a
     if p < 2**31:

@@ -9,7 +9,7 @@ triangular.
 
 from __future__ import annotations
 
-from .ffpoly import NEG_INF, Poly, PrimeField, _check_same_field, _mul_coeffs
+from .ffpoly import NEG_INF, Poly, _check_same_field, _pack, _unpack
 
 
 class PolyMatrix:
@@ -138,33 +138,40 @@ def shifted_leading_matrix(A, s):
         raise ValueError("zero row has no leading coefficients")
     lead = []
     for row, d in zip(A.rows, degs):
-        lead.append([e.coefficient(d - sj) if isinstance(d - sj, int) else 0
-                     for e, sj in zip(row, s)])
+        lead.append([e.coefficient(d - sj) for e, sj in zip(row, s)])
     return lead
 
 
-def _rank_mod_p(rows, p):
-    """Rank of a small constant matrix over GF(p) by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+def gauss_jordan(rows, p):
+    """Gauss-Jordan elimination of a constant matrix over GF(p).
+
+    Returns (reduced nonzero rows, their pivot columns, det).  With no more
+    rows than columns, det is the determinant of the leading square block,
+    so it is zero exactly when that block is singular.
+    """
+    m = [[v % p for v in r] for r in rows]
+    pivots = []
+    det = 1
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
+            det = 0
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det = det * m[rank][col] % p
         inv = pow(m[rank][col], p - 2, p)
         m[rank] = [v * inv % p for v in m[rank]]
         for i in range(len(m)):
-            if i != rank and m[i][col] % p:
-                f = m[i][col] % p
+            f = m[i][col]
+            if i != rank and f:
                 m[i] = [(v - f * w) % p for v, w in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return m[:len(pivots)], pivots, det
 
 
 def is_row_reduced(A, s):
@@ -174,7 +181,7 @@ def is_row_reduced(A, s):
         lead = shifted_leading_matrix(A, s)
     except ValueError:
         return False
-    return _rank_mod_p(lead, A.field.p) == A.nrows
+    return len(gauss_jordan(lead, A.field.p)[1]) == A.nrows
 
 
 def is_popov(A, s):
@@ -239,8 +246,6 @@ def mat_mul(A, B):
 
 def _mat_mul_packed(A, B, la, lb):
     # Kronecker-pack every entry once, multiply as plain integers
-    from .ffpoly import _pack, _unpack
-
     p = A.field.p
     inner = A.ncols
     bound = inner * min(la, lb) * (p - 1) * (p - 1)
@@ -276,17 +281,7 @@ def mat_mul_trunc(A, B, order):
 
 def vec_mat_mul(v, A):
     """Row vector (tuple of Poly) times matrix."""
-    if len(v) != A.nrows:
-        raise ValueError("vector length does not match matrix rows")
-    field = A.field
-    out = []
-    for j in range(A.ncols):
-        acc = field.zero()
-        for k in range(len(v)):
-            if not v[k].is_zero() and not A.entry(k, j).is_zero():
-                acc = acc + v[k] * A.entry(k, j)
-        out.append(acc)
-    return tuple(out)
+    return mat_mul(PolyMatrix(A.field, [v]), A).rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +293,7 @@ def _row_sub_scaled(row, other, q):
     return tuple(e - q * f for e, f in zip(row, other))
 
 
-def _weak_popov_rows(rows, s, require_full_rank=True):
+def _weak_popov_rows(rows, s):
     """Mulders-Storjohann successive cancellation to distinct pivots.
 
     Each step subtracts a quotient multiple of the lower-degree row from the
@@ -312,9 +307,7 @@ def _weak_popov_rows(rows, s, require_full_rank=True):
         clash = None
         for i, (d, c) in enumerate(info):
             if c is None:
-                if require_full_rank:
-                    raise ValueError("matrix is singular (zero row produced)")
-                continue
+                raise ValueError("matrix is singular (zero row produced)")
             if c in by_pivot:
                 clash = (by_pivot[c], i, c)
                 break

@@ -31,6 +31,16 @@ def test_det_exponent_rejections():
         det_power_of_x(PolyMatrix(F, [[x, x]]))
 
 
+def test_exact_det_check_rejects_a_unit_det_at_one():
+    # det = x^2 + x + 2 is 1 at x = 1 over GF(3), and the lifted solve's
+    # residual check accepts the wrong row (x^2, 0); only the exact
+    # determinant tells the two apart
+    F = PrimeField(3)
+    diag = PolyMatrix(F, [[1, 0], [0, [2, 1, 1]]])
+    with pytest.raises(ValueError):
+        adjoint_first_row(diag)
+
+
 def test_lifted_solve_identity():
     ident = PolyMatrix.identity(GF2, 3)
     v = (GF2.one(), GF2.zero(), GF2.zero())

@@ -99,6 +99,38 @@ def test_solve_empty_solution_set(tmp_path):
     assert json.loads(open(out).read())["lambdas"] == []
 
 
+def test_solve_rejects_a_modulus_from_2_to_the_64(tmp_path, capsys):
+    # used to crash every solver with OverflowError while packing coefficients
+    p = 2**89 - 1
+    doc = {"p": p, "S": [[p - 1] * 64] * 2, "g": [[0] * 64 + [1]] * 2,
+           "N": [33, 32, 32]}
+    path = tmp_path / "bigp.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "o.json")
+    for algo in ["direct", "duality", "recursive"]:
+        assert cli.main(["solve", "--input", str(path), "--algo", algo,
+                         "--output", out]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2^64" in err
+        assert "Traceback" not in err
+
+
+def test_verify_fails_an_empty_claim_the_oracle_cannot_check(tmp_path,
+                                                             capsys):
+    # 1000 * 2 * 1000 oracle cells exceed the 10^6 guard, and a spec with
+    # no lambdas leaves no rows to check
+    doc = {"p": 2, "S": [[1]], "g": [[0] * 1000 + [1]], "N": [1000, 0]}
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps(doc))
+    spec = tmp_path / "empty.json"
+    spec.write_text(json.dumps({"lambdas": [], "deltas": []}))
+    assert cli.main(["verify", "--input", str(inst),
+                     "--spec", str(spec)]) == EXIT_VERIFY
+    report = capsys.readouterr().out
+    assert "skip matches-oracle" in report
+    assert "FAIL empty-claim" in report and "unverified" in report
+
+
 def test_verify_rejects_tampered_spec(ex1_file, tmp_path, capsys):
     code, out = _solve(ex1_file, tmp_path, "direct")
     assert code == EXIT_OK

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import simpade
 from simpade import (Poly, PreconditionError, ValidationError, complete,
                      direct_sim_pade, duality_sim_pade, recursive_sim_pade,
                      spec_matches_oracle, validate_instance, verify_solution)
@@ -32,6 +33,12 @@ def test_validate_rejects_bad_data():
     reject(bounds=(6, 3, 4, 5))               # N_0 > max deg g_i
     reject(bounds=(5, -1, 4, 5))              # negative N_i
     reject(bounds=(5, 6, 4, 5))               # N_i > deg g_i
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in simpade.__all__
+               if not hasattr(simpade, name)]
+    assert missing == []
 
 
 def test_validate_accepts_zero_series():
