@@ -3,7 +3,7 @@
 m_basis iterates the order one step at a time on coefficient arrays;
 pm_basis halves the order recursively and multiplies the partial bases;
 popov_basis normalises the result to the canonical shifted Popov form;
-neg_min_basis keeps only the rows of negative shifted degree.
+neg_min_basis normalises only the rows of negative shifted degree.
 """
 
 from __future__ import annotations
@@ -124,12 +124,16 @@ def popov_basis(d, A, s):
 
 
 def neg_min_basis(d, A, s):
-    """Negative part of the canonical approximant basis."""
-    full = popov_basis(d, A, s)
-    rows = []
-    degrees = []
-    for row, delta in zip(full.basis.rows, full.degrees):
-        if delta < 0:
-            rows.append(row)
-            degrees.append(delta)
-    return NegativePart(tuple(rows), tuple(degrees), full.basis.ncols)
+    """Negative part of the canonical approximant basis.
+
+    By the predictable-degree property, the negative rows of any s-reduced
+    basis generate the approximants of negative s-degree, and so do those
+    of the s-Popov basis, which are in s-Popov form.  That form is unique,
+    so normalising only the raw negative rows gives the canonical rows.
+    """
+    raw = pm_basis(d, A, s)
+    rows = tuple(row for row, t in zip(raw.basis.rows, raw.degrees) if t < 0)
+    if not rows:
+        return NegativePart((), (), raw.basis.ncols)
+    P = popov_canonical(PolyMatrix(A.field, rows), raw.shift)
+    return NegativePart(P.rows, shifted_row_degrees(P, raw.shift), P.ncols)

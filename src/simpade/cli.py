@@ -30,7 +30,8 @@ import sys
 import time
 
 from .ffpoly import Poly, is_prime
-from .oracle import oracle_solution_space, spec_matches_oracle
+from .oracle import (OracleSizeError, oracle_solution_space,
+                     spec_matches_oracle)
 from .polymat import is_row_reduced, shifted_row_degrees
 from .solvers import (PreconditionError, SolutionSpec, ValidationError,
                       complete, direct_sim_pade, duality_sim_pade,
@@ -134,11 +135,7 @@ def parse_spec(text, instance, where="spec"):
 
 
 def _cmd_solve(args):
-    try:
-        instance = parse_instance(_read(args.input), where=args.input)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    instance = parse_instance(_read(args.input), where=args.input)
     if args.algo == "oracle":
         try:
             space = oracle_solution_space(instance)
@@ -162,12 +159,8 @@ def _cmd_solve(args):
 
 
 def _cmd_verify(args):
-    try:
-        instance = parse_instance(_read(args.input), where=args.input)
-        spec, echoed = parse_spec(_read(args.spec), instance, where=args.spec)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    instance = parse_instance(_read(args.input), where=args.input)
+    spec, echoed = parse_spec(_read(args.spec), instance, where=args.spec)
     failures = []
 
     def check(name, ok):
@@ -192,13 +185,15 @@ def _cmd_verify(args):
               == spec.deltas)
     try:
         check("matches-oracle", spec_matches_oracle(spec, instance))
-    except ValueError:
+    except OracleSizeError:
         print("skip matches-oracle (instance exceeds oracle size guard)")
         if not spec.k:
             # no rows to check and no oracle: nothing supports the claim
             print("FAIL empty-claim (unverified: no solutions claimed and "
                   "the oracle check was skipped)")
             failures.append("empty-claim")
+    except ValueError:
+        check("matches-oracle", False)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -207,8 +202,10 @@ def _bench_instance(n, d, p, seed):
     series = [[rng.randrange(p) for _ in range(d)] for _ in range(n)]
     modulus = [0] * d + [1]
     n0 = min(d, (d + 1) // 2 + 1)
-    ni = min(d, (d + 1) // 2)
-    bounds = [n0] + [ni] * n
+    # sum N = n*d + n + 1: solution dimension n + 1 generically (N_i <= d)
+    rest = n * d + n + 1 - n0
+    bounds = [n0] + [min(d, rest // n + (1 if i < rest % n else 0))
+                     for i in range(n)]
     return validate_instance(p, series, [modulus] * n, bounds)
 
 

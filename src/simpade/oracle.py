@@ -15,6 +15,10 @@ from dataclasses import dataclass
 DEFAULT_MAX_CELLS = 10**6
 
 
+class OracleSizeError(ValueError):
+    """The instance needs more cells than the dense oracle's size guard."""
+
+
 @dataclass(frozen=True)
 class SolutionSpace:
     """Nullspace basis: coefficient vectors of lambda, each of length N_0."""
@@ -84,8 +88,8 @@ def oracle_solution_space(instance, max_cells=DEFAULT_MAX_CELLS):
     n0 = instance.bounds[0]
     cells = n0 * (instance.n + 1) * instance.max_modulus_degree
     if cells > max_cells:
-        raise ValueError(f"instance too large for the dense oracle "
-                         f"({cells} cells > {max_cells})")
+        raise OracleSizeError(f"instance too large for the dense oracle "
+                              f"({cells} cells > {max_cells})")
     rows = []
     for idx in range(instance.n):
         s = instance.series[idx].to_list()

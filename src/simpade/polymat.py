@@ -328,32 +328,29 @@ def _weak_popov_rows(rows, s):
 
 
 def popov_canonical(A, s):
-    """The unique shifted Popov form of the row space of a nonsingular A."""
-    if A.nrows != A.ncols:
-        raise ValueError("Popov canonical form requires a square matrix")
+    """The unique shifted Popov form of the row space of a full-row-rank A.
+
+    A is k x m with k <= m; rank-deficient or tall A raises ValueError.
+    """
     _check_shift(s, A.ncols)
-    n = A.nrows
     work, info = _weak_popov_rows(A.rows, s)
-    # pivots are distinct, hence a permutation of the columns
-    order = sorted(range(n), key=lambda i: info[i][1])
+    # pivots are distinct, so sorting by them orders the rows
+    order = sorted(range(len(work)), key=lambda i: info[i][1])
     work = [work[i] for i in order]
-    field = A.field
-    # make pivots (diagonal after sorting) monic
-    for i in range(n):
-        lc = work[i][i].leading_coefficient()
+    cols = [info[i][1] for i in order]
+    for i, c in enumerate(cols):
+        lc = work[i][c].leading_coefficient()
         if lc != 1:
-            inv = field.inv(lc)
+            inv = A.field.inv(lc)
             work[i] = tuple(e * inv for e in work[i])
-    # reduce off-diagonal entries in pivot columns below the diagonal degree
+    # reduce the other entries of each pivot column below the pivot degree
     for _ in range(1000):
         changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                e = work[i][j]
-                piv = work[j][j]
-                if not e.is_zero() and e.degree >= piv.degree:
+        for i in range(len(work)):
+            for j, c in enumerate(cols):
+                e = work[i][c]
+                piv = work[j][c]
+                if i != j and not e.is_zero() and e.degree >= piv.degree:
                     q = e // piv
                     work[i] = _row_sub_scaled(work[i], work[j], q)
                     changed = True
@@ -361,10 +358,7 @@ def popov_canonical(A, s):
             break
     else:
         raise RuntimeError("Popov normalisation did not converge")
-    out = PolyMatrix(field, work)
-    if not is_popov(out, s):
-        raise ValueError("matrix is singular or not normalisable")
-    return out
+    return PolyMatrix(A.field, work)
 
 
 def row_space_membership(v, A, s=None):

@@ -121,6 +121,33 @@ def test_neg_min_basis_intersection_step_golden(split_g):
     assert [r[0] for r in neg_rows] == [[1, 1, 0, 1, 1], [1, 0, 0, 0, 1]]
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_neg_min_basis_is_the_negative_part_of_popov_basis(p):
+    rng = random.Random(p % 1009)
+    F = PrimeField(p)
+    rows_seen = 0
+    for trial in range(40):
+        n = rng.randint(2, 5)
+        m = rng.randint(1, n - 1)
+        d = rng.randint(1, 64)
+        A = random_matrix(rng, F, n, m, d)
+        if trial % 2:
+            s = tuple(rng.randint(-10, 10) for _ in range(n))
+        else:
+            # the intersection step's shape: -N_0 first, then small degrees
+            s = (rng.randint(-d - 20, -20),) + tuple(rng.randint(-6, -1)
+                                                     for _ in range(n - 1))
+        full = popov_basis(d, A, s)
+        neg = [(row, t) for row, t in zip(full.basis.rows, full.degrees)
+               if t < 0]
+        part = neg_min_basis(d, A, s)
+        assert part.rows == tuple(row for row, _ in neg)
+        assert part.degrees == tuple(t for _, t in neg)
+        assert part.width == n
+        rows_seen += len(neg)
+    assert rows_seen >= 30
+
+
 def test_neg_min_basis_empty():
     part = neg_min_basis(1, PolyMatrix.identity(GF2, 2), (0, 0))
     assert part.rows == () and part.degrees == ()

@@ -131,6 +131,19 @@ def test_verify_fails_an_empty_claim_the_oracle_cannot_check(tmp_path,
     assert "FAIL empty-claim" in report and "unverified" in report
 
 
+def test_verify_fails_a_lambda_that_crosses_n0(ex1_file, tmp_path, capsys):
+    # delta = -3 expands x^4 + 1 to degree 6 >= N_0 = 5; the oracle itself
+    # is small enough to run, so this is a failure, not a skip
+    spec = tmp_path / "cross.json"
+    spec.write_text(json.dumps({"lambdas": [[1, 0, 0, 0, 1]],
+                                "deltas": [-3]}))
+    assert cli.main(["verify", "--input", ex1_file,
+                     "--spec", str(spec)]) == EXIT_VERIFY
+    report = capsys.readouterr().out
+    assert "FAIL matches-oracle" in report
+    assert "skip" not in report
+
+
 def test_verify_rejects_tampered_spec(ex1_file, tmp_path, capsys):
     code, out = _solve(ex1_file, tmp_path, "direct")
     assert code == EXIT_OK
@@ -173,6 +186,13 @@ def test_bench_runs_and_reports(capsys):
     assert lines[0] == "algo,n,d,wall_time,k,sum_neg_delta"
     assert len(lines) == 4
     assert lines[1].startswith("direct,2,8,")
+
+
+def test_bench_instances_have_solutions(capsys):
+    assert cli.main(["bench", "--n", "3", "--d", "16", "--p", "97",
+                     "--seed", "1", "--algos", "direct,recursive"]) == EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[-1] for line in lines[1:]] == ["4", "4"]
 
 
 def test_bench_duality_allowed(capsys):

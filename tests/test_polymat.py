@@ -166,6 +166,51 @@ def test_popov_canonical_rejects_singular():
         popov_canonical(PolyMatrix(F, [[x, x], [x, x]]), (0, 0))
 
 
+def _full_row_rank(rng, field, k, m):
+    # monic diagonal beside random columns, times a unimodular on the right
+    rows = [[random_poly(rng, field, 3, monic=True) if i == j
+             else field.zero() for j in range(k)]
+            + [random_poly(rng, field, 3) for _ in range(m - k)]
+            for i in range(k)]
+    return mat_mul(PolyMatrix(field, rows), random_unimodular(rng, field, m))
+
+
+@pytest.mark.parametrize("p", [2, 97])
+def test_popov_canonical_full_row_rank_k_by_m(p):
+    rng = random.Random(100 + p)
+    F = PrimeField(p)
+    for _ in range(20):
+        m = rng.randint(2, 5)
+        k = rng.randint(1, m - 1)
+        A = _full_row_rank(rng, F, k, m)
+        s = tuple(rng.randint(-5, 5) for _ in range(m))
+        P = popov_canonical(A, s)
+        assert (P.nrows, P.ncols) == (k, m)
+        cols = [row_pivot(row, s) for row in P.rows]
+        assert cols == sorted(set(cols))
+        for i, c in enumerate(cols):
+            piv = P.entry(i, c)
+            assert piv.leading_coefficient() == 1
+            assert all(P.entry(j, c).degree < piv.degree
+                       for j in range(k) if j != i)
+        assert all(row_space_membership(row, P, s) for row in A.rows)
+        assert popov_canonical(P, s) == P
+        B = mat_mul(random_unimodular(rng, F, k), A)
+        assert popov_canonical(B, s) == P
+
+
+def test_popov_canonical_rejects_rank_deficient_and_tall_input():
+    F = PrimeField(3)
+    x, one, zero = F.x(), F.one(), F.zero()
+    # the second row is x times the first
+    with pytest.raises(ValueError):
+        popov_canonical(PolyMatrix(F, [[x, one, x], [x * x, x, x * x]]),
+                        (0, 0, 0))
+    with pytest.raises(ValueError):
+        popov_canonical(PolyMatrix(F, [[one, zero], [zero, one], [x, x]]),
+                        (0, 0))
+
+
 def test_predictable_degree_property(ex1_dual_g):
     # rowdeg_s(u A) = max(deg u_i + rowdeg_s A_i) for row-reduced A
     rng = random.Random(3)
