@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ffpoly import Poly
+from .ffpoly import Poly, _strip
 from .polymat import (PolyMatrix, _check_shift, mat_mul, popov_canonical,
                       shifted_row_degrees)
 
@@ -91,8 +91,8 @@ def m_basis(d, A, s):
             Rc[i, :, k + 1:] = Rc[i, :, k:-1]
             Rc[i, :, k] = 0
             t[i] += 1
-    rows = [[Poly(field, (int(c) for c in Fc[i, j])) for j in range(n)]
-            for i in range(n)]
+    rows = [[Poly._raw(field, _strip(tuple(e))) for e in row]
+            for row in Fc.tolist()]
     return ApproximantBasisResult(PolyMatrix(field, rows), tuple(t), d, s)
 
 
@@ -107,7 +107,7 @@ def pm_basis(d, A, s, threshold=PM_BASIS_THRESHOLD):
     first = pm_basis(d1, A.truncated(d1), s, threshold)
     residual = mat_mul(first.basis, A.truncated(d))
     field = A.field
-    shifted_rows = [[Poly(field, e.coeffs[d1:d]) for e in row]
+    shifted_rows = [[Poly._raw(field, _strip(e.coeffs[d1:d])) for e in row]
                     for row in residual.rows]
     second = pm_basis(d2, PolyMatrix(field, shifted_rows), first.degrees,
                       threshold)

@@ -5,9 +5,18 @@ Polynomials are stored as tuples of integers in [0, p), ascending degree,
 with no trailing zeros; the zero polynomial has an empty coefficient tuple
 and degree NEG_INF.  All values are immutable, all operations are pure.
 
-Multiplication uses schoolbook convolution for small operands and Kronecker
-substitution (packing coefficients into one big integer, so CPython's
-subquadratic integer multiplication does the work) for large ones.
+A single Poly product uses schoolbook convolution for small operands and
+Kronecker substitution (packing coefficients into one big integer, so
+CPython's subquadratic integer multiplication does the work) for large ones.
+The schoolbook cutoff applies only there: polynomial-matrix products pack
+every entry (see polymat.mat_mul).
+
+Coefficient tuples are built from lists or slices, not generators.  tuple()
+of a generator allocates for a guessed length and resizes, so a freed tuple
+enters the free list of another length than the one it came from, and
+CPython's tuple free lists (up to 2000 tuples per length below 20) then grow
+call after call: on an n = 8, d = 128 duality solve, resident memory rose by
+about 0.15 MB per repeated call until the next full garbage collection.
 """
 
 from __future__ import annotations
@@ -106,7 +115,7 @@ def _mul_coeffs(a, b, p):
             if ai:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
-        return tuple(c % p for c in out)
+        return tuple([c % p for c in out])
     return _kronecker_mul(a, b, p)
 
 
@@ -131,9 +140,9 @@ def _unpack(value, slot, n, p):
     if slot * 255 * (p - 1) < 2**62:
         arr = np.frombuffer(data, dtype=np.uint8).reshape(n, slot).astype(np.int64)
         pw = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
-        return tuple(int(c) for c in (arr @ pw) % p)
-    return tuple(int.from_bytes(data[i * slot:(i + 1) * slot], "little") % p
-                 for i in range(n))
+        return tuple(((arr @ pw) % p).tolist())
+    return tuple([int.from_bytes(data[i * slot:(i + 1) * slot], "little") % p
+                  for i in range(n)])
 
 
 def _divrem_coeffs(a, b, p):
@@ -154,7 +163,7 @@ def _divrem_coeffs(a, b, p):
                 q[k] = c
                 for j in range(lb):
                     rem[k + j] = (rem[k + j] - c * b[j]) % p
-        return _strip(tuple(q)), _strip(tuple(c % p for c in rem[:lb - 1]))
+        return _strip(tuple(q)), _strip(tuple([c % p for c in rem[:lb - 1]]))
     # fast division via Newton inversion of the reversed divisor
     rb = tuple(reversed(b))
     inv = _inv_series(rb, m + 1, p)
@@ -175,7 +184,7 @@ def _inv_series(f, k, p):
     while prec < k:
         prec = min(2 * prec, k)
         fg = _mul_coeffs(f[:prec], g, p)[:prec]
-        two_minus = tuple((-c) % p for c in fg)
+        two_minus = tuple([(-c) % p for c in fg])
         two_minus = ((two_minus[0] + 2) % p,) + two_minus[1:]
         g = _mul_coeffs(g, two_minus, p)[:prec]
     return _strip(g[:k])
@@ -199,7 +208,7 @@ class Poly:
     def __init__(self, field, coeffs=()):
         p = field.p
         self.field = field
-        self.coeffs = _strip(tuple(c % p for c in coeffs))
+        self.coeffs = _strip(tuple([c % p for c in coeffs]))
 
     @classmethod
     def _raw(cls, field, coeffs):
@@ -240,7 +249,7 @@ class Poly:
 
     def __neg__(self):
         p = self.field.p
-        return Poly._raw(self.field, tuple(-c % p for c in self.coeffs))
+        return Poly._raw(self.field, tuple([-c % p for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -248,7 +257,8 @@ class Poly:
             c = other % p
             if c == 0:
                 return Poly._raw(self.field, ())
-            return Poly._raw(self.field, tuple(c * v % p for v in self.coeffs))
+            return Poly._raw(self.field,
+                             tuple([c * v % p for v in self.coeffs]))
         other = self._coerce(other)
         return Poly._raw(self.field,
                          _mul_coeffs(self.coeffs, other.coeffs, self.field.p))

@@ -9,7 +9,8 @@ triangular.
 
 from __future__ import annotations
 
-from .ffpoly import NEG_INF, Poly, _check_same_field, _pack, _unpack
+from .ffpoly import (NEG_INF, Poly, _check_same_field, _pack, _strip,
+                     _unpack)
 
 
 class PolyMatrix:
@@ -68,13 +69,6 @@ class PolyMatrix:
     def truncated(self, order):
         return PolyMatrix(self.field,
                           [[e.truncated(order) for e in row] for row in self.rows])
-
-    def max_degree(self):
-        d = NEG_INF
-        for row in self.rows:
-            for e in row:
-                d = max(d, e.degree)
-        return d
 
     def to_coeff_lists(self):
         return [[e.to_list() for e in row] for row in self.rows]
@@ -215,61 +209,40 @@ def is_popov(A, s):
 
 
 def mat_mul(A, B):
-    """Matrix product over GF(p)[x]."""
+    """Matrix product over GF(p)[x].
+
+    Every entry is Kronecker-packed once into an integer whose slots hold
+    any inner-product coefficient, so each output entry is one sum of
+    integer products, unpacked once; this holds at every size and p < 2^64.
+    """
     if not isinstance(A, PolyMatrix) or not isinstance(B, PolyMatrix):
         raise TypeError("mat_mul expects PolyMatrix operands")
     _check_same_field(A.field, B.field)
     if A.ncols != B.nrows:
         raise ValueError(f"dimension mismatch {A.nrows}x{A.ncols} times "
                          f"{B.nrows}x{B.ncols}")
-    p = A.field.p
-    da, db = A.max_degree(), B.max_degree()
-    la = int(da) + 1 if da != NEG_INF else 0
-    lb = int(db) + 1 if db != NEG_INF else 0
-    if la and lb and min(la, lb) > 24 and p < 2**40:
-        return _mat_mul_packed(A, B, la, lb)
     field = A.field
-    out = []
-    for i in range(A.nrows):
-        row = []
-        for j in range(B.ncols):
-            acc = field.zero()
-            for k in range(A.ncols):
-                e = A.entry(i, k)
-                f = B.entry(k, j)
-                if not e.is_zero() and not f.is_zero():
-                    acc = acc + e * f
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(field, out)
-
-
-def _mat_mul_packed(A, B, la, lb):
-    # Kronecker-pack every entry once, multiply as plain integers
-    p = A.field.p
-    inner = A.ncols
-    bound = inner * min(la, lb) * (p - 1) * (p - 1)
+    p = field.p
+    la = max(len(e.coeffs) for row in A.rows for e in row)
+    lb = max(len(e.coeffs) for row in B.rows for e in row)
+    # 0 when an operand is all zero: every entry then packs to 0
+    bound = A.ncols * min(la, lb) * (p - 1) * (p - 1)
     slot = (bound.bit_length() + 7) // 8
     pa = [[_pack(e.coeffs, slot) if e.coeffs else 0 for e in row]
           for row in A.rows]
     pb = [[_pack(e.coeffs, slot) if e.coeffs else 0 for e in row]
           for row in B.rows]
-    field = A.field
     nlen = la + lb - 1
     out = []
-    for i in range(A.nrows):
-        arow = pa[i]
+    for arow in pa:
         row = []
         for j in range(B.ncols):
             acc = 0
-            for k in range(inner):
-                if arow[k] and pb[k][j]:
-                    acc += arow[k] * pb[k][j]
-            if acc:
-                coeffs = _unpack(acc, slot, nlen, p)
-                row.append(Poly(field, coeffs))
-            else:
-                row.append(field.zero())
+            for ak, brow in zip(arow, pb):
+                if ak and brow[j]:
+                    acc += ak * brow[j]
+            row.append(Poly._raw(field, _strip(_unpack(acc, slot, nlen, p)))
+                       if acc else field.zero())
         out.append(row)
     return PolyMatrix(field, out)
 
@@ -290,7 +263,7 @@ def vec_mat_mul(v, A):
 
 def _row_sub_scaled(row, other, q):
     """row - q * other, entrywise."""
-    return tuple(e - q * f for e, f in zip(row, other))
+    return tuple([e - q * f for e, f in zip(row, other)])
 
 
 def _weak_popov_rows(rows, s):
@@ -342,7 +315,7 @@ def popov_canonical(A, s):
         lc = work[i][c].leading_coefficient()
         if lc != 1:
             inv = A.field.inv(lc)
-            work[i] = tuple(e * inv for e in work[i])
+            work[i] = tuple([e * inv for e in work[i]])
     # reduce the other entries of each pivot column below the pivot degree
     for _ in range(1000):
         changed = False

@@ -75,7 +75,7 @@ def test_popov_predicate_golden(ex1_dual_g, split_g):
 def test_mat_mul_matches_naive_reference():
     rng = random.Random(11)
     F = PrimeField(97)
-    for max_len in (3, 40):  # short entries take the loop, long ones pack
+    for max_len in (3, 40):  # short and long entries
         A = random_matrix(rng, F, 3, 4, max_len)
         B = random_matrix(rng, F, 4, 2, max_len)
         got = mat_mul(A, B)
@@ -85,6 +85,55 @@ def test_mat_mul_matches_naive_reference():
                 for k in range(4):
                     acc = acc + A.entry(i, k) * B.entry(k, j)
                 assert got.entry(i, j) == acc
+
+
+def _schoolbook_entry(A, B, i, j):
+    """Sum over k of A[i][k] * B[k][j] by plain coefficient convolution."""
+    p = A.field.p
+    out = {}
+    for k in range(A.ncols):
+        for u, a in enumerate(A.entry(i, k).coeffs):
+            for v, b in enumerate(B.entry(k, j).coeffs):
+                out[u + v] = (out.get(u + v, 0) + a * b) % p
+    top = max(out, default=-1)
+    return Poly(A.field, [out.get(t, 0) for t in range(top + 1)])
+
+
+def _matrix_with_lengths(rng, field, n, m, lengths):
+    return PolyMatrix(field, [[Poly(field, [rng.randrange(field.p) for _ in
+                                            range(rng.choice(lengths))])
+                               for _ in range(m)] for _ in range(n)])
+
+
+def _zero(field, n, m):
+    return PolyMatrix(field, [[0] * m for _ in range(n)])
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, 2**61 - 1, 2**64 - 59])
+def test_mat_mul_matches_naive_reference_at_every_size_and_p(p):
+    rng = random.Random(p % 1009)
+    F = PrimeField(p)
+    lengths = (0, 1, 2, 25, 60, 130)
+    for _ in range(6):
+        n, m, r = (rng.randint(1, 4) for _ in range(3))
+        A = _matrix_with_lengths(rng, F, n, m, lengths)
+        # half the time B has only short entries, which meet A's long ones
+        B = _matrix_with_lengths(rng, F, m, r,
+                                 rng.choice([lengths, (0, 1, 2)]))
+        got = mat_mul(A, B)
+        assert (got.nrows, got.ncols) == (n, r)
+        for i in range(n):
+            for j in range(r):
+                assert got.entry(i, j) == _schoolbook_entry(A, B, i, j)
+        assert mat_mul_trunc(A, B, 30) == got.truncated(30)
+        assert vec_mat_mul(A.row(0), B) == got.row(0)
+        assert mat_mul(A, _zero(F, m, r)) == _zero(F, n, r)
+        assert mat_mul(_zero(F, r, n), A) == _zero(F, r, m)
+    # every coefficient p - 1 makes each inner-product coefficient reach the
+    # largest value a slot must hold
+    full = PolyMatrix(F, [[[p - 1] * 40] * 4] * 4)
+    got = mat_mul(full, full)
+    assert got.entry(3, 0) == _schoolbook_entry(full, full, 3, 0)
 
 
 def test_mat_mul_shape_errors():
