@@ -221,7 +221,11 @@ def _cmd_bench(args):
     for algo in algos:
         start = time.perf_counter()
         if algo == "oracle":
-            space = oracle_solution_space(instance)
+            try:
+                space = oracle_solution_space(instance)
+            except OracleSizeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_PRECONDITION
             k, total = space.dim, space.dim
         else:
             spec = _SOLVERS[algo](instance)

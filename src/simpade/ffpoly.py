@@ -172,8 +172,8 @@ def _divrem_coeffs(a, b, p):
     qrev = qrev + (0,) * (m + 1 - len(qrev))
     q = _strip(tuple(reversed(qrev)))
     qb = _mul_coeffs(q, b, p)
-    rem = tuple((ai - (qb[i] if i < len(qb) else 0)) % p
-                for i, ai in enumerate(a[:lb - 1]))
+    rem = tuple([(ai - (qb[i] if i < len(qb) else 0)) % p
+                 for i, ai in enumerate(a[:lb - 1])])
     return q, _strip(rem)
 
 

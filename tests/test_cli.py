@@ -206,6 +206,15 @@ def test_bench_degenerate_order(capsys):
                      "--seed", "0", "--algos", "direct"]) == EXIT_OK
 
 
+def test_bench_oracle_above_its_size_guard_is_a_precondition_error(capsys):
+    # n = 4, d = 1024 needs 2 626 560 cells, above the 10^6-cell guard
+    assert cli.main(["bench", "--n", "4", "--d", "1024", "--p", "97",
+                     "--seed", "1", "--algos", "oracle"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance too large for the dense oracle")
+    assert "Traceback" not in err
+
+
 def test_bench_bad_parameters(capsys):
     assert cli.main(["bench", "--n", "2", "--d", "8", "--p", "91",
                      "--seed", "7", "--algos", "direct"]) == EXIT_PARSE
