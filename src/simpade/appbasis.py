@@ -105,10 +105,11 @@ def pm_basis(d, A, s, threshold=PM_BASIS_THRESHOLD):
     d1 = (d + 1) // 2
     d2 = d - d1
     first = pm_basis(d1, A.truncated(d1), s, threshold)
-    residual = mat_mul(first.basis, A.truncated(d))
     field = A.field
+    # only coefficients d1..d-1 of the residual are kept: no name holds the
+    # full product while the second half recurses
     shifted_rows = [[Poly._raw(field, _strip(e.coeffs[d1:d])) for e in row]
-                    for row in residual.rows]
+                    for row in mat_mul(first.basis, A.truncated(d)).rows]
     second = pm_basis(d2, PolyMatrix(field, shifted_rows), first.degrees,
                       threshold)
     F = mat_mul(second.basis, first.basis)

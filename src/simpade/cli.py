@@ -128,6 +128,10 @@ def parse_spec(text, instance, where="spec"):
         raise ParseError(f"{where}: deltas must be integers")
     if len(lambdas) != len(deltas):
         raise ParseError(f"{where}: lambdas and deltas lengths differ")
+    # a nonzero row has shifted degree >= deg lambda - N_0 >= -N_0
+    n0 = instance.bounds[0]
+    if any(-d > n0 for d in deltas):
+        raise ParseError(f"{where}: deltas must be at least -N_0 = {-n0}")
     echoed = doc.get("instance_sha256")
     field = instance.field
     spec = SolutionSpec(tuple(Poly(field, c) for c in lambdas), tuple(deltas))

@@ -207,5 +207,9 @@ def recursive_sim_pade(instance):
         rows.append([zero, -lam])
     R = PolyMatrix(field, rows)
     shift = (-N[0],) + spec1.deltas + spec2.deltas
-    d = N[0] + instance.max_modulus_degree - 1
-    return _spec_from_negative_part(neg_min_basis(d, R, shift))
+    # Order N_0 suffices.  A row (mu, a_1, ...) of negative shifted degree
+    # has deg mu < N_0 and deg a_i < -delta_i, and every spec row has
+    # deg lambda_i <= N_0 + delta_i, so both columns of (mu, a) * R have
+    # degree < N_0: vanishing modulo x^N_0 is exact vanishing, and the
+    # negative rows are those of the exact intersection at any higher order.
+    return _spec_from_negative_part(neg_min_basis(N[0], R, shift))

@@ -108,3 +108,33 @@ def test_adjoint_random_popov_inputs(p):
         e1 = [F.zero()] * n
         e1[0] = x_pow[key]
         assert vec_mat_mul(res.row, G) == tuple(e1)
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**31 - 1, 2**61 - 1])
+def test_block_lift_on_random_popov_bases(p):
+    # n runs past the exact determinant check; the lift inverts only modulo
+    # x^b with b = ceil(precision / n), and the last block is short whenever
+    # b does not divide the precision
+    rng = random.Random(p + 7)
+    F = PrimeField(p)
+    short_last_block = 0
+    for n in list(range(1, 13)) * 2:
+        m = rng.randint(1, n)
+        d = rng.randint(1, 12)
+        A = random_matrix(rng, F, n, m, d)
+        s = tuple(rng.randint(-3, 3) for _ in range(n))
+        G = popov_basis(d, A, s).basis
+        res = adjoint_first_row(G)
+        D = res.det_exponent
+        e1 = (Poly(F, (0,) * D + (1,)),) + (F.zero(),) * (n - 1)
+        # w * G = x^D * e1 has exactly one solution, the first adjoint row
+        assert vec_mat_mul(res.row, G) == e1
+        assert all(e.degree <= D for e in res.row)
+        if n <= 5:
+            assert res.row == cofactor_adjoint(G).row(0)
+        short_last_block += (D + 1) % -(-(D + 1) // n) != 0
+        for precision in (1, rng.randint(2, D + 3)):
+            w = tuple(Poly(F, [rng.randrange(p) for _ in range(precision)])
+                      for _ in range(n))
+            assert lifted_vector_solve(vec_mat_mul(w, G), G, precision) == w
+    assert short_last_block

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -142,6 +143,21 @@ def test_verify_fails_a_lambda_that_crosses_n0(ex1_file, tmp_path, capsys):
     report = capsys.readouterr().out
     assert "FAIL matches-oracle" in report
     assert "skip" not in report
+
+
+def test_verify_rejects_a_delta_below_minus_n0_at_once(ex1_file, tmp_path,
+                                                       capsys):
+    # no nonzero row has shifted degree below -N_0; expanding a zero lambda
+    # over 10^9 shifts used to exhaust memory in the oracle
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({"lambdas": [[]], "deltas": [-10**9]}))
+    start = time.process_time()
+    assert cli.main(["verify", "--input", ex1_file,
+                     "--spec", str(spec)]) == EXIT_PARSE
+    assert time.process_time() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "-N_0" in err
+    assert "Traceback" not in err
 
 
 def test_verify_rejects_tampered_spec(ex1_file, tmp_path, capsys):
