@@ -1,6 +1,8 @@
 """Shifted minimal approximant bases.
 
-m_basis iterates the order one step at a time on coefficient arrays;
+m_basis raises the order one step at a time on coefficient arrays: each
+step is one shift-ordered elimination of the constant residual, applied to
+the basis and the residual by one broadcast update per pivot;
 pm_basis halves the order recursively and multiplies the partial bases;
 popov_basis normalises the result to the canonical shifted Popov form;
 neg_min_basis normalises only the rows of negative shifted degree.
@@ -46,9 +48,14 @@ class NegativePart:
 def m_basis(d, A, s):
     """Iterative order-basis computation (order 1 per step).
 
-    At each step the constant residual of F*A is eliminated: rows of smaller
-    current shifted degree act as pivots (ties to the lower index), pivot
-    rows are multiplied by x, eliminated rows keep their degree.
+    At step k the constant residual Delta = coefficient k of F*A is read
+    once and eliminated on ints, visiting rows by (current shifted degree,
+    index).  A row whose reduced Delta row is nonzero becomes a pivot, with
+    its first nonzero column c; every later row r with Delta[r][c] != 0
+    takes f_r = Delta[r][c] / Delta[pivot][c], and one broadcast update
+    subtracts f (x) the pivot row from all those rows of F and of the
+    residual.  Pivot rows are then multiplied by x; eliminated rows keep
+    their degree.
     """
     n, m = A.nrows, A.ncols
     _check_shift(s, n, "approximant input (rows)")
@@ -71,21 +78,38 @@ def m_basis(d, A, s):
         Fc[i, i, 0] = 1
     t = list(s)
     for k in range(d):
-        delta = Rc[:, :, k].copy()
+        # Right-looking: a pivot's row is final when it is found, and every
+        # later row meets the same pivots, in the same order and with the
+        # same factors, as when each row is reduced on reaching it, so F
+        # and t equal the left-looking (per row pair) elimination's.
+        delta = Rc[:, :, k].tolist()
         order = sorted(range(n), key=lambda i: (t[i], i))
         pivots = []
-        for i in order:
-            for (j, c) in pivots:
-                f = int(delta[i, c])
-                if f:
-                    f = f * pow(int(delta[j, c]), p - 2, p) % p
-                    delta[i] = (delta[i] - f * delta[j]) % p
-                    Fc[i] = (Fc[i] - f * Fc[j]) % p
-                    Rc[i] = (Rc[i] - f * Rc[j]) % p
-            nz = np.flatnonzero(delta[i])
-            if nz.size:
-                pivots.append((i, int(nz[0])))
-        for (i, _c) in pivots:
+        for a, i in enumerate(order):
+            piv = delta[i]
+            c = next((j for j, v in enumerate(piv) if v), None)
+            if c is None:
+                continue
+            pivots.append(i)
+            inv = pow(piv[c], p - 2, p)
+            hit, fs = [], []
+            for r in order[a + 1:]:
+                row = delta[r]
+                if row[c]:
+                    f = row[c] * inv % p
+                    delta[r] = [(u - f * v) % p for u, v in zip(row, piv)]
+                    hit.append(r)
+                    fs.append(f)
+            if hit:
+                # deg F <= k and R vanishes below x^k at step k
+                hit = np.array(hit)
+                f = np.array(fs, dtype=dtype)[:, None, None]
+                Fc[hit, :, :k + 1] = (Fc[hit, :, :k + 1]
+                                      - f * Fc[i, :, :k + 1]) % p
+                Rc[hit, :, k + 1:] = (Rc[hit, :, k + 1:]
+                                      - f * Rc[i, :, k + 1:]) % p
+        Rc[:, :, k] = delta
+        for i in pivots:
             Fc[i, :, 1:] = Fc[i, :, :-1]
             Fc[i, :, 0] = 0
             Rc[i, :, k + 1:] = Rc[i, :, k:-1]

@@ -54,11 +54,16 @@ class ParseError(ValueError):
     pass
 
 
+def _is_int(value):
+    # JSON true and false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ParseError(f"{where}: field {key!r} has the wrong type")
     return value
 
@@ -68,7 +73,7 @@ def _coeff_lists(doc, key, where):
     out = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or \
-                not all(isinstance(c, int) and c >= 0 for c in entry):
+                not all(_is_int(c) and c >= 0 for c in entry):
             raise ParseError(f"{where}: {key}[{idx}] must be a list of "
                              "nonnegative integers")
         out.append(entry)
@@ -87,7 +92,7 @@ def parse_instance(text, where="instance"):
     series = _coeff_lists(doc, "S", where)
     moduli = _coeff_lists(doc, "g", where)
     bounds = _require(doc, "N", list, where)
-    if not all(isinstance(b, int) and b >= 0 for b in bounds):
+    if not all(_is_int(b) and b >= 0 for b in bounds):
         raise ParseError(f"{where}: N must be a list of nonnegative integers")
     return validate_instance(p, series, moduli, bounds)
 
@@ -124,7 +129,7 @@ def parse_spec(text, instance, where="spec"):
         raise ParseError(f"{where}: top level must be an object")
     lambdas = _coeff_lists(doc, "lambdas", where)
     deltas = _require(doc, "deltas", list, where)
-    if not all(isinstance(d, int) for d in deltas):
+    if not all(_is_int(d) for d in deltas):
         raise ParseError(f"{where}: deltas must be integers")
     if len(lambdas) != len(deltas):
         raise ParseError(f"{where}: lambdas and deltas lengths differ")

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from simpade import (NEG_INF, Poly, PolyMatrix, PrimeField, is_popov,
-                     is_row_reduced, m_basis, mat_mul, neg_min_basis,
+from simpade import (NEG_INF, Poly, PolyMatrix, PrimeField, appbasis,
+                     is_popov, is_row_reduced, m_basis, mat_mul, neg_min_basis,
                      pm_basis, popov_basis, popov_canonical,
                      shifted_row_degrees)
 from simpade.oracle import _rank
@@ -88,6 +88,94 @@ def test_pm_basis_agrees_with_m_basis():
                 == popov_canonical(slow.basis, s)
             assert _annihilates(fast.basis, A, d)
             assert is_row_reduced(fast.basis, s)
+
+
+def _reference_m_basis(d, A, s, p):
+    """Textbook order-1 steps on plain lists, independent of m_basis.
+
+    Each step recomputes coefficient k of F*A from F and A, visits the rows
+    in (shifted degree, index) order, eliminates each row against the
+    earlier pivots and multiplies the pivot rows by x.
+    """
+    n, m = len(A), len(A[0])
+
+    def coeff(e, k):
+        return e[k] if 0 <= k < len(e) else 0
+
+    F = [[[int(i == j)] + [0] * d for j in range(n)] for i in range(n)]
+    t = list(s)
+    for k in range(d):
+        delta = [[sum(F[i][q][a] * coeff(A[q][j], k - a)
+                      for q in range(n) for a in range(k + 1)) % p
+                  for j in range(m)] for i in range(n)]
+        pivots = []
+        for i in sorted(range(n), key=lambda i: (t[i], i)):
+            for j, c in pivots:
+                if delta[i][c]:
+                    f = delta[i][c] * pow(delta[j][c], p - 2, p) % p
+                    delta[i] = [(u - f * v) % p
+                                for u, v in zip(delta[i], delta[j])]
+                    F[i] = [[(u - f * v) % p for u, v in zip(a, b)]
+                            for a, b in zip(F[i], F[j])]
+            nz = [c for c, v in enumerate(delta[i]) if v]
+            if nz:
+                pivots.append((i, nz[0]))
+        for i, _ in pivots:
+            F[i] = [[0] + e[:-1] for e in F[i]]
+            t[i] += 1
+
+    def strip(e):
+        while e and not e[-1]:
+            e = e[:-1]
+        return e
+
+    return [[strip(e) for e in row] for row in F], tuple(t)
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1, 2**61 - 1])
+def test_m_basis_and_pm_basis_match_the_textbook_steps(p):
+    rng = random.Random(p % 10007)
+    field = PrimeField(p)
+    for trial in range(12):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 4)  # both n > m and n < m occur
+        d = 0 if trial == 0 else rng.randint(1, 14)
+        rows = []
+        for _ in range(n):
+            if rows and rng.random() < 0.2:
+                rows.append(list(rows[rng.randrange(len(rows))]))
+            elif rng.random() < 0.15:
+                rows.append([[] for _ in range(m)])
+            else:
+                rows.append([[rng.randrange(p) if rng.random() < 0.7 else 0
+                              for _ in range(rng.randint(0, d + 2))]
+                             for _ in range(m)])
+        if trial % 3 == 0:
+            s = (rng.randint(-4, 0),) * n  # all tied
+        else:
+            s = tuple(rng.randint(-5, 3) for _ in range(n))
+        A = PolyMatrix(field, [[Poly(field, e) for e in row] for row in rows])
+        basis, degrees = _reference_m_basis(d, rows, s, p)
+        for res in (m_basis(d, A, s), pm_basis(d, A, s, threshold=2)):
+            assert res.basis.to_coeff_lists() == basis
+            assert res.degrees == degrees
+
+
+def test_pm_basis_reaches_the_leaf_through_the_module_name(monkeypatch):
+    # span tracing rebinds appbasis.m_basis and counts the leaf's calls
+    calls = []
+    leaf = appbasis.m_basis
+
+    def counting(d, A, s):
+        calls.append(d)
+        return leaf(d, A, s)
+
+    monkeypatch.setattr(appbasis, "m_basis", counting)
+    field = PrimeField(97)
+    A = random_matrix(random.Random(31), field, 3, 2, 100)
+    res = pm_basis(100, A, (0, 0, 0))
+    assert calls == [25, 25, 25, 25]
+    assert res.order == 100
 
 
 def test_neg_min_basis_direct_stack_spans_known_denominators():

@@ -78,6 +78,51 @@ def test_solve_parse_error(tmp_path):
                      "--algo", "direct", "--output", out]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("field, path, message", [
+    ("S", (0, 0), "S[0] must"), ("g", (0, 5), "g[0] must"),
+    ("N", (2,), "N must"), ("p", (), "field 'p'")])
+def test_solve_rejects_a_boolean_where_an_integer_is_expected(
+        tmp_path, capsys, field, path, message):
+    # json loads true as True, a subclass of int equal to 1
+    doc = json.loads(json.dumps(EX1_DOC))
+    if path:
+        target = doc[field]
+        for idx in path[:-1]:
+            target = target[idx]
+        target[path[-1]] = True
+    else:
+        doc[field] = True
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--input", str(bad), "--algo", "direct",
+                     "--output", str(tmp_path / "o.json")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, message", [("lambdas", "lambdas[0] must"),
+                                            ("deltas", "deltas must")])
+def test_verify_rejects_a_boolean_where_an_integer_is_expected(
+        ex1_file, tmp_path, capsys, field, message):
+    code, out = _solve(ex1_file, tmp_path, "direct")
+    assert code == EXIT_OK
+    doc = json.loads(open(out).read())
+    if field == "lambdas":
+        lam = doc["lambdas"][0]
+        lam[lam.index(1)] = True
+    else:
+        doc["deltas"][0] = True
+    bad = tmp_path / "bool-spec.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", "--input", ex1_file,
+                     "--spec", str(bad)]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err and "ok" not in captured.out
+
+
 def test_solve_duality_precondition(tmp_path):
     doc = {"p": 2, "S": [[1], [1]], "g": [[0, 0, 1], [0, 0, 0, 1]],
            "N": [2, 1, 1]}
