@@ -4,7 +4,9 @@ Shifts are plain tuples of integers, one entry per column of whatever they
 weight.  Row degrees use NEG_INF for zero rows.  The pivot of a nonzero row
 under a shift is the *rightmost* column attaining the shifted row degree;
 with that convention the leading matrix of a Popov-form matrix is unit lower
-triangular.
+triangular.  popov_canonical reaches that form by a Mulders-Storjohann weak
+Popov step and one ordered pass of reductions; row_space_membership reduces a
+vector against the Popov form by the same normal-form step.
 """
 
 from __future__ import annotations
@@ -292,54 +294,68 @@ def _weak_popov_rows(rows, s):
         if (info[j][0], j) < (info[i][0], i):
             i, j = j, i
         lo, hi = work[i], work[j]
-        q = hi[c] // lo[c]
-        new = _row_sub_scaled(hi, lo, q)
+        new = _row_sub_scaled(hi, lo, hi[c] // lo[c])
         work[j] = new
-        d = row_shifted_degree(new, s) if any(not e.is_zero() for e in new) \
-            else NEG_INF
-        info[j] = (d, None if d == NEG_INF else row_pivot(new, s))
+        info[j] = (row_shifted_degree(new, s), row_pivot(new, s))
+
+
+def _normal_form(row, rows, cols):
+    """row reduced against rows, whose pivots lie in columns cols.
+
+    rows must be reduced against each other.  While some row[c_j] has degree
+    at least deg rows[j][c_j], subtract (row[c_j] // rows[j][c_j]) * rows[j]
+    at the column of largest excess deg row[c_j] - deg rows[j][c_j].
+    """
+    while rows:
+        excess, j = max((row[c].degree - r[c].degree, j)
+                        for j, (r, c) in enumerate(zip(rows, cols)))
+        if excess < 0:
+            break
+        c = cols[j]
+        row = _row_sub_scaled(row, rows[j], row[c] // rows[j][c])
+    return row
 
 
 def popov_canonical(A, s):
     """The unique shifted Popov form of the row space of a full-row-rank A.
 
     A is k x m with k <= m; rank-deficient or tall A raises ValueError.
+    After the weak Popov step, one ordered pass reduces each row against the
+    rows before it; the result lists the rows by pivot column.
     """
     _check_shift(s, A.ncols)
     work, info = _weak_popov_rows(A.rows, s)
-    # pivots are distinct, so sorting by them orders the rows
-    order = sorted(range(len(work)), key=lambda i: info[i][1])
-    work = [work[i] for i in order]
-    cols = [info[i][1] for i in order]
-    for i, c in enumerate(cols):
-        lc = work[i][c].leading_coefficient()
+    # One pass in (shifted degree d, pivot column c) order is enough:
+    # - later rows need nothing: a row's entry in the pivot column of a later
+    #   row is already below that pivot's degree;
+    # - reductions keep that true: a multiple of an earlier row subtracted
+    #   from row i has shifted degree <= d_i, and where it reaches d_i its
+    #   pivot lies left of c_i, so the pivot of row i, its degree and the
+    #   bound above all survive;
+    # - the reduction loop ends: clearing an excess e of the largest size
+    #   leaves a remainder below the pivot and, as the rows are reduced
+    #   against each other, creates only excesses below e elsewhere;
+    # - membership is exact: if v - q P = u P with u != 0, take j with the
+    #   largest deg u_j; entry c_j of u P has degree deg u_j + deg P[j][c_j],
+    #   so no nonzero element of the row space is fully reduced.
+    done, cols = [], []
+    for i in sorted(range(len(work)), key=lambda i: info[i]):
+        row, c = work[i], info[i][1]
+        lc = row[c].leading_coefficient()
         if lc != 1:
             inv = A.field.inv(lc)
-            work[i] = tuple([e * inv for e in work[i]])
-    # reduce the other entries of each pivot column below the pivot degree
-    for _ in range(1000):
-        changed = False
-        for i in range(len(work)):
-            for j, c in enumerate(cols):
-                e = work[i][c]
-                piv = work[j][c]
-                if i != j and not e.is_zero() and e.degree >= piv.degree:
-                    q = e // piv
-                    work[i] = _row_sub_scaled(work[i], work[j], q)
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("Popov normalisation did not converge")
-    return PolyMatrix(A.field, work)
+            row = tuple([e * inv for e in row])
+        done.append(_normal_form(row, done, cols))
+        cols.append(c)
+    return PolyMatrix(A.field, [row for c, row in sorted(zip(cols, done))])
 
 
 def row_space_membership(v, A, s=None):
     """True iff row vector v lies in the GF(p)[x]-row space of A.
 
     A must be row reduced under the supplied shift (all-zeros by default);
-    the test runs successive cancellation of v against a weak-Popov copy
-    of A.
+    the test reduces v against the Popov form of A, and v is a member iff
+    nothing is left.
     """
     if s is None:
         s = (0,) * A.ncols
@@ -347,18 +363,9 @@ def row_space_membership(v, A, s=None):
         raise ValueError("vector length does not match matrix width")
     if not is_row_reduced(A, s):
         raise ValueError("membership test requires a row-reduced matrix")
-    work, info = _weak_popov_rows(A.rows, s)
-    pivots = {c: i for i, (d, c) in enumerate(info)}
-    v = tuple(v)
-    while any(not e.is_zero() for e in v):
-        dv = row_shifted_degree(v, s)
-        c = row_pivot(v, s)
-        i = pivots.get(c)
-        if i is None or info[i][0] > dv:
-            return False
-        q = v[c] // work[i][c]
-        v = _row_sub_scaled(v, work[i], q)
-    return True
+    P = popov_canonical(A, s)
+    cols = [row_pivot(row, s) for row in P.rows]
+    return all(e.is_zero() for e in _normal_form(tuple(v), P.rows, cols))
 
 
 # ---------------------------------------------------------------------------

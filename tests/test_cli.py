@@ -34,13 +34,18 @@ def test_instance_roundtrip():
     assert instance_hash(again) == instance_hash(inst)
 
 
-def test_parse_rejections():
+def test_parse_rejections(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
     for text in ["not json", "[1]", '{"p": 2, "S": [[1]], "g": [[0,1]]}',
                  '{"p": 2, "S": [[1]], "g": [[0,1]], "N": [1, -1]}',
                  '{"p": 2, "S": [["x"]], "g": [[0,1]], "N": [1, 0]}',
+                 # not prime: a ValidationError, not a ParseError; same exit
                  '{"p": 4, "S": [[1]], "g": [[0,1]], "N": [1, 0]}']:
-        with pytest.raises((cli.ParseError, Exception)):
-            parse_instance(text)
+        bad.write_text(text)
+        assert cli.main(["solve", "--input", str(bad), "--algo", "direct",
+                         "--output", str(tmp_path / "o.json")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("algo", ["direct", "duality", "recursive"])

@@ -260,6 +260,72 @@ def test_popov_canonical_rejects_rank_deficient_and_tall_input():
                         (0, 0))
 
 
+# GF(3), shift (5, 4, 2, -2, -1): reducing a row at one pivot column raises
+# its entry at another, so the reductions cascade; a sweep over (row, pivot
+# column) pairs in index order needs three passes to reach the Popov form
+CASCADE = [
+    [[0, 0, 2, 1], [], [1, 1], [1, 0, 2, 2, 1], [2, 1, 0, 1]],
+    [[2, 1, 2, 1], [0, 1], [2, 2, 2], [1], [2]],
+    [[2, 1], [2], [], [2], [0, 1, 2]],
+    [[2, 0, 1, 2], [1, 1, 1], [1, 1, 2], [1, 0, 2], [1, 2, 1, 1]],
+    [[1], [1, 1], [0, 1], [], []],
+]
+CASCADE_SHIFT = (5, 4, 2, -2, -1)
+
+
+def test_popov_canonical_cascade():
+    F = PrimeField(3)
+    A = _pm(F, CASCADE)
+    P = popov_canonical(A, CASCADE_SHIFT)
+    assert is_popov(P, CASCADE_SHIFT)
+    assert popov_canonical(P, CASCADE_SHIFT) == P
+    rng = random.Random(5)
+    for _ in range(5):
+        B = mat_mul(random_unimodular(rng, F, 5), A)
+        assert popov_canonical(B, CASCADE_SHIFT) == P
+
+
+def test_popov_canonical_tied_degrees_different_pivots():
+    F = PrimeField(97)
+    x, one, zero = F.x(), F.one(), F.zero()
+    # rows 0 and 1 both have shifted degree 2, with pivots in columns 1 and
+    # 0; row 0 must lose x^2 in column 0, a constant multiple of row 1
+    A = PolyMatrix(F, [[x * x + x, x * x, one], [x * x, one, zero],
+                       [zero, zero, x]])
+    s = (0, 0, 0)
+    P = popov_canonical(A, s)
+    assert P == PolyMatrix(F, [[x * x, one, zero], [x, x * x - 1, one],
+                               [zero, zero, x]])
+    assert is_popov(P, s)
+    rng = random.Random(6)
+    for _ in range(5):
+        B = mat_mul(random_unimodular(rng, F, 3), A)
+        assert popov_canonical(B, s) == P
+
+
+@pytest.mark.parametrize("p", [3, 97, 2**61 - 1])
+def test_membership_k_by_m(p):
+    rng = random.Random(200 + p % 1009)
+    F = PrimeField(p)
+    for _ in range(10):
+        m = rng.randint(2, 5)
+        k = rng.randint(1, m - 1)
+        s = tuple(rng.randint(-4, 4) for _ in range(m))
+        P = popov_canonical(_full_row_rank(rng, F, k, m), s)
+        member = [F.zero()] * m
+        for row in P.rows:
+            u = Poly(F, [rng.randrange(1, p)]).shifted(rng.randint(0, 3))
+            member = [a + u * b for a, b in zip(member, row)]
+        assert row_space_membership(member, P, s)
+        # a nonzero vector that is zero in every pivot column is reduced,
+        # so adding one to a member leaves the row space
+        free = [c for c in range(m)
+                if c not in {row_pivot(row, s) for row in P.rows}]
+        c = rng.choice(free)
+        member[c] = member[c] + 1
+        assert not row_space_membership(member, P, s)
+
+
 def test_predictable_degree_property(ex1_dual_g):
     # rowdeg_s(u A) = max(deg u_i + rowdeg_s A_i) for row-reduced A
     rng = random.Random(3)
