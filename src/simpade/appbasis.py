@@ -5,7 +5,8 @@ step is one shift-ordered elimination of the constant residual, applied to
 the basis and the residual by one broadcast update per pivot;
 pm_basis halves the order recursively and multiplies the partial bases;
 popov_basis normalises the result to the canonical shifted Popov form;
-neg_min_basis normalises only the rows of negative shifted degree.
+neg_min_basis multiplies out, at the top split, only the rows of negative
+shifted degree and normalises only those.
 """
 
 from __future__ import annotations
@@ -120,22 +121,31 @@ def m_basis(d, A, s):
     return ApproximantBasisResult(PolyMatrix(field, rows), tuple(t), d, s)
 
 
+def _halves(d, A, s, threshold):
+    """pm_basis's two halves: (first, second) with first the basis of A to
+    order d1 = ceil(d/2) and second that of the residual to order d - d1.
+
+    Only coefficients d1..d-1 of the residual are kept, so no name holds
+    the full product while the second half recurses, and only here, so no
+    caller holds the residual while the halves are multiplied.
+    """
+    d1 = (d + 1) // 2
+    first = pm_basis(d1, A.truncated(d1), s, threshold)
+    field = A.field
+    residual = [[Poly._raw(field, _strip(e.coeffs[d1:d])) for e in row]
+                for row in mat_mul(first.basis, A.truncated(d)).rows]
+    second = pm_basis(d - d1, PolyMatrix(field, residual), first.degrees,
+                      threshold)
+    return first, second
+
+
 def pm_basis(d, A, s, threshold=PM_BASIS_THRESHOLD):
     """Divide-and-conquer order basis: split the order, combine by product."""
     if d <= threshold:
         return m_basis(d, A, s)
     _check_shift(s, A.nrows, "approximant input (rows)")
     s = tuple(s)
-    d1 = (d + 1) // 2
-    d2 = d - d1
-    first = pm_basis(d1, A.truncated(d1), s, threshold)
-    field = A.field
-    # only coefficients d1..d-1 of the residual are kept: no name holds the
-    # full product while the second half recurses
-    shifted_rows = [[Poly._raw(field, _strip(e.coeffs[d1:d])) for e in row]
-                    for row in mat_mul(first.basis, A.truncated(d)).rows]
-    second = pm_basis(d2, PolyMatrix(field, shifted_rows), first.degrees,
-                      threshold)
+    first, second = _halves(d, A, s, threshold)
     F = mat_mul(second.basis, first.basis)
     return ApproximantBasisResult(F, second.degrees, d, s)
 
@@ -155,10 +165,21 @@ def neg_min_basis(d, A, s):
     basis generate the approximants of negative s-degree, and so do those
     of the s-Popov basis, which are in s-Popov form.  That form is unique,
     so normalising only the raw negative rows gives the canonical rows.
+    Above the leaf, row i of pm_basis's product second * first has s-degree
+    second.degrees[i], so only the negative rows of second are multiplied.
     """
-    raw = pm_basis(d, A, s)
-    rows = tuple(row for row, t in zip(raw.basis.rows, raw.degrees) if t < 0)
+    _check_shift(s, A.nrows, "approximant input (rows)")
+    s = tuple(s)
+    if d <= PM_BASIS_THRESHOLD:
+        raw = m_basis(d, A, s)
+        rows = [row for row, t in zip(raw.basis.rows, raw.degrees) if t < 0]
+    else:
+        first, second = _halves(d, A, s, PM_BASIS_THRESHOLD)
+        rows = [row for row, t in zip(second.basis.rows, second.degrees)
+                if t < 0]
+        if rows:
+            rows = mat_mul(PolyMatrix(A.field, rows), first.basis).rows
     if not rows:
-        return NegativePart((), (), raw.basis.ncols)
-    P = popov_canonical(PolyMatrix(A.field, rows), raw.shift)
-    return NegativePart(P.rows, shifted_row_degrees(P, raw.shift), P.ncols)
+        return NegativePart((), (), A.nrows)
+    P = popov_canonical(PolyMatrix(A.field, rows), s)
+    return NegativePart(P.rows, shifted_row_degrees(P, s), P.ncols)

@@ -9,7 +9,9 @@ A single Poly product uses schoolbook convolution for small operands and
 Kronecker substitution (packing coefficients into one big integer, so
 CPython's subquadratic integer multiplication does the work) for large ones.
 The schoolbook cutoff applies only there: polynomial-matrix products pack
-every entry (see polymat.mat_mul).
+every entry (see polymat.mat_mul).  Both kinds of product pack and unpack
+through one pair, _pack_many / _unpack_many, which converts a whole list of
+coefficient tuples in one numpy pass rather than a few numpy calls per tuple.
 
 Coefficient tuples are built from lists or slices, not generators.  tuple()
 of a generator allocates for a guessed length and resizes, so a freed tuple
@@ -20,6 +22,8 @@ about 0.15 MB per repeated call until the next full garbage collection.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -122,27 +126,53 @@ def _mul_coeffs(a, b, p):
 def _kronecker_mul(a, b, p):
     bound = min(len(a), len(b)) * (p - 1) * (p - 1)
     slot = (bound.bit_length() + 7) // 8
-    prod = _pack(a, slot) * _pack(b, slot)
-    return _unpack(prod, slot, len(a) + len(b) - 1, p)
+    pa, pb = _pack_many((a, b), slot)
+    return _unpack_many((pa * pb,), slot, len(a) + len(b) - 1, p)[0]
 
 
-def _pack(coeffs, slot):
-    arr = np.asarray(coeffs, dtype=np.uint64)
-    buf = np.zeros((len(coeffs), slot), dtype=np.uint8)
-    for k in range(min(slot, 8)):
-        buf[:, k] = (arr >> np.uint64(8 * k)).astype(np.uint8)
-    return int.from_bytes(buf.tobytes(), "little")
+def _pack_many(coeff_tuples, slot):
+    """Each coefficient tuple as one integer with slot bytes per coefficient.
+
+    One numpy pass writes every coefficient as a little-endian 64-bit word
+    and keeps its low slot bytes (zero-padded when slot > 8); each tuple is
+    then one int.from_bytes of its slice.  An empty tuple packs to 0.
+    """
+    lens = [len(c) for c in coeff_tuples]
+    total = sum(lens)
+    words = np.fromiter(chain.from_iterable(coeff_tuples), dtype="<u8",
+                        count=total).view(np.uint8).reshape(total, 8)
+    if slot > 8:
+        buf = np.zeros((total, slot), dtype=np.uint8)
+        buf[:, :8] = words
+        words = buf
+    data = memoryview(words[:, :slot].tobytes())
+    out = []
+    pos = 0
+    for n in lens:
+        end = pos + n * slot
+        out.append(int.from_bytes(data[pos:end], "little"))
+        pos = end
+    return out
 
 
-def _unpack(value, slot, n, p):
-    data = value.to_bytes(slot * n, "little")
-    # each slot value fits int64 dotted against 256^k mod p when p is small
-    if slot * 255 * (p - 1) < 2**62:
-        arr = np.frombuffer(data, dtype=np.uint8).reshape(n, slot).astype(np.int64)
-        pw = np.array([pow(256, k, p) for k in range(slot)], dtype=np.int64)
-        return tuple(((arr @ pw) % p).tolist())
-    return tuple([int.from_bytes(data[i * slot:(i + 1) * slot], "little") % p
-                  for i in range(n)])
+def _unpack_many(values, slot, n, p):
+    """Inverse of _pack_many for n slots per value, reduced mod p and stripped.
+
+    With slot <= 8 every slot value fits one unsigned 64-bit word, so all
+    values are widened to words and reduced in one numpy pass.
+    """
+    size = slot * n
+    data = b"".join([v.to_bytes(size, "little") for v in values])
+    if slot <= 8:
+        count = len(values) * n
+        buf = np.zeros((count, 8), dtype=np.uint8)
+        buf[:, :slot] = np.frombuffer(data, np.uint8).reshape(count, slot)
+        flat = (buf.view("<u8").ravel() % p).tolist()
+    else:
+        flat = [int.from_bytes(data[i:i + slot], "little") % p
+                for i in range(0, len(data), slot)]
+    return [_strip(tuple(flat[i * n:(i + 1) * n]))
+            for i in range(len(values))]
 
 
 def _divrem_coeffs(a, b, p):

@@ -11,8 +11,8 @@ vector against the Popov form by the same normal-form step.
 
 from __future__ import annotations
 
-from .ffpoly import (NEG_INF, Poly, _check_same_field, _pack, _strip,
-                     _unpack)
+from .ffpoly import (NEG_INF, Poly, _check_same_field, _pack_many,
+                     _unpack_many)
 
 
 class PolyMatrix:
@@ -216,6 +216,9 @@ def mat_mul(A, B):
     Every entry is Kronecker-packed once into an integer whose slots hold
     any inner-product coefficient, so each output entry is one sum of
     integer products, unpacked once; this holds at every size and p < 2^64.
+    B is packed up front and each row of A when the loop reaches it, one
+    _pack_many call per row, and each output row is one _unpack_many call:
+    no array spans a whole operand or a whole output.
     """
     if not isinstance(A, PolyMatrix) or not isinstance(B, PolyMatrix):
         raise TypeError("mat_mul expects PolyMatrix operands")
@@ -230,22 +233,23 @@ def mat_mul(A, B):
     # 0 when an operand is all zero: every entry then packs to 0
     bound = A.ncols * min(la, lb) * (p - 1) * (p - 1)
     slot = (bound.bit_length() + 7) // 8
-    pa = [[_pack(e.coeffs, slot) if e.coeffs else 0 for e in row]
-          for row in A.rows]
-    pb = [[_pack(e.coeffs, slot) if e.coeffs else 0 for e in row]
-          for row in B.rows]
+    pb = [_pack_many([e.coeffs for e in row], slot) for row in B.rows]
     nlen = la + lb - 1
+    zero = field.zero()
     out = []
-    for arow in pa:
-        row = []
+    for row in A.rows:
+        arow = _pack_many([e.coeffs for e in row], slot)
+        accs = []
         for j in range(B.ncols):
             acc = 0
             for ak, brow in zip(arow, pb):
                 if ak and brow[j]:
                     acc += ak * brow[j]
-            row.append(Poly._raw(field, _strip(_unpack(acc, slot, nlen, p)))
-                       if acc else field.zero())
-        out.append(row)
+            accs.append(acc)
+        nonzero = iter(_unpack_many([acc for acc in accs if acc], slot,
+                                    nlen, p))
+        out.append([Poly._raw(field, next(nonzero)) if acc else zero
+                    for acc in accs])
     return PolyMatrix(field, out)
 
 

@@ -236,6 +236,40 @@ def test_neg_min_basis_is_the_negative_part_of_popov_basis(p):
     assert rows_seen >= 30
 
 
+@pytest.mark.parametrize("p", [2, 97, 65537])
+def test_neg_min_basis_past_the_split_is_the_negative_part_of_popov_basis(p):
+    # d > PM_BASIS_THRESHOLD, so neg_min_basis multiplies only the rows of
+    # the top split that have negative shifted degree
+    rng = random.Random(p + 33)
+    F = PrimeField(p)
+    n, m = 4, 2
+    draws = [(random_matrix(rng, F, n, m, 60), 60, (0,) * n),
+             (random_matrix(rng, F, n, m, 70), 70, (-m * 70 - 1,) * n)]
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        m = rng.randint(1, n - 1)
+        d = rng.randint(33, 140)
+        # near the average degree rise m d / n: some rows negative, some not
+        s = tuple(rng.randint(-m * d // n - 3, -m * d // n + 3)
+                  for _ in range(n))
+        draws.append((random_matrix(rng, F, n, m, d), d, s))
+    kept = []
+    for A, d, s in draws:
+        full = popov_basis(d, A, s)
+        neg = [(row, t) for row, t in zip(full.basis.rows, full.degrees)
+               if t < 0]
+        part = neg_min_basis(d, A, s)
+        assert part.rows == tuple(row for row, _ in neg)
+        assert part.degrees == tuple(t for _, t in neg)
+        assert part.width == A.nrows
+        kept.append(len(part.rows))
+    # shift 0 keeps no row; shift -(m d + 1) keeps every row, since the
+    # shifted degrees rise by at most m d in total
+    assert kept[:2] == [0, 4]
+    assert any(0 < k < len(A.rows)
+               for k, (A, _, _) in zip(kept[2:], draws[2:]))
+
+
 def test_neg_min_basis_empty():
     part = neg_min_basis(1, PolyMatrix.identity(GF2, 2), (0, 0))
     assert part.rows == () and part.degrees == ()

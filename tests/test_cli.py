@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,19 @@ def test_usage_errors_do_not_raise(capsys):
     assert cli.main([]) == EXIT_PARSE
     assert cli.main(["solve"]) == EXIT_PARSE
     assert cli.main(["--help"]) == EXIT_OK
+
+
+def test_module_entry_point_reports_a_missing_input(tmp_path):
+    # python -m simpade.cli runs the same commands as the console script
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "simpade.cli", "verify",
+         "--input", str(tmp_path / "missing.json"),
+         "--spec", str(tmp_path / "spec.json")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

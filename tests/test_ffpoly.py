@@ -4,6 +4,7 @@ import pytest
 
 from simpade import (NEG_INF, Poly, PrimeField, is_prime, poly_divrem,
                      poly_mul, poly_substitute_shift)
+from simpade.ffpoly import _pack_many, _strip, _unpack_many
 
 FIELDS = [2, 3, 97, 2**31 - 1]
 
@@ -81,6 +82,44 @@ def test_mul_matches_schoolbook_large(p):
     for deg in [50, 333, 2000]:
         a = [rng.randrange(p) for _ in range(deg)] + [1]
         b = [rng.randrange(p) for _ in range(deg // 2)] + [1]
+        got = (Poly(F, a) * Poly(F, b)).coeffs
+        assert got == schoolbook(tuple(a), tuple(b), p)
+
+
+# (p, slot): one byte, the 8-byte boundary of the word path, and wider slots
+PACK_CASES = [(2, 1), (97, 1), (2**28 - 57, 8), (2**31 - 1, 8),
+              (2**61 - 1, 8), (2**61 - 1, 9), (2**61 - 1, 17),
+              (2**64 - 59, 8), (2**64 - 59, 17)]
+
+
+@pytest.mark.parametrize("p, slot", PACK_CASES)
+def test_pack_many_round_trip(p, slot):
+    rng = random.Random(p + slot)
+    n = 40
+    tuples = []
+    for k in range(60):
+        length = 0 if k % 5 == 0 else rng.randint(1, n)
+        cs = [rng.choice((0, 1, p - 1, rng.randrange(p)))
+              for _ in range(length)]
+        tuples.append(_strip(tuple(cs)))
+    values = _pack_many(tuples, slot)
+    assert [v == 0 for v in values] == [not t for t in tuples]
+    assert _unpack_many(values, slot, n, p) == tuples
+    assert _unpack_many([], slot, n, p) == []
+
+
+@pytest.mark.parametrize("p", [2, 2**28 - 57, 2**61 - 1, 2**64 - 59])
+def test_mul_matches_schoolbook_at_every_slot_size(p):
+    # Kronecker products at min length 25..200 use slot 1 at p = 2, slot 8
+    # at p = 2^28 - 57 and slots above 8 at the two large primes
+    assert is_prime(p)
+    rng = random.Random(p % 10007)
+    F = PrimeField(p)
+    for la, lb in [(25, 25), (30, 200), (200, 120)]:
+        a = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(la - 1)]
+        b = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(lb - 1)]
+        a.append(rng.randrange(1, p))
+        b.append(p - 1)
         got = (Poly(F, a) * Poly(F, b)).coeffs
         assert got == schoolbook(tuple(a), tuple(b), p)
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -160,3 +161,24 @@ def test_solvers_agree_with_oracle_randomized():
                 assert shifted_row_degrees(comp, shift) == spec.deltas
             results.append((spec.k, tuple(sorted(spec.deltas))))
         assert len(set(results)) == 1  # minimality: same k and delta multiset
+
+
+def test_direct_peak_memory_on_an_xd_instance():
+    # n = 8, d = 128, p = 97, g_i = x^d, N_0 + sum N_i = n d + n + 1: the
+    # top product of the stacked basis keeps only its negative rows
+    rng = random.Random(8128)
+    n, d, p, n0 = 8, 128, 97, 115
+    rest = n * d + n + 1 - n0
+    bounds = [n0] + [rest // n + (1 if i < rest % n else 0) for i in range(n)]
+    inst = validate_instance(
+        p, [[rng.randrange(p) for _ in range(d)] for _ in range(n)],
+        [[0] * d + [1]] * n, bounds)
+    direct_sim_pade(inst)           # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        spec = direct_sim_pade(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.k == n + 1
+    assert peak < 0.70 * 2**20
