@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ffpoly import Poly, _strip
-from .polymat import (PolyMatrix, _check_shift, mat_mul, popov_canonical,
-                      shifted_row_degrees)
+from .polymat import (PolyMatrix, _check_shift, _mat_mul_window, mat_mul,
+                      popov_canonical, shifted_row_degrees)
 
 PM_BASIS_THRESHOLD = 32
 
@@ -125,17 +125,14 @@ def _halves(d, A, s, threshold):
     """pm_basis's two halves: (first, second) with first the basis of A to
     order d1 = ceil(d/2) and second that of the residual to order d - d1.
 
-    Only coefficients d1..d-1 of the residual are kept, so no name holds
-    the full product while the second half recurses, and only here, so no
-    caller holds the residual while the halves are multiplied.
+    Only coefficients d1..d-1 of the product first * A are unpacked, and
+    the residual is local here, so no caller holds it while the halves are
+    multiplied.
     """
     d1 = (d + 1) // 2
     first = pm_basis(d1, A.truncated(d1), s, threshold)
-    field = A.field
-    residual = [[Poly._raw(field, _strip(e.coeffs[d1:d])) for e in row]
-                for row in mat_mul(first.basis, A.truncated(d)).rows]
-    second = pm_basis(d - d1, PolyMatrix(field, residual), first.degrees,
-                      threshold)
+    residual = _mat_mul_window(first.basis, A.truncated(d), d1, d)
+    second = pm_basis(d - d1, residual, first.degrees, threshold)
     return first, second
 
 
@@ -168,7 +165,6 @@ def neg_min_basis(d, A, s):
     Above the leaf, row i of pm_basis's product second * first has s-degree
     second.degrees[i], so only the negative rows of second are multiplied.
     """
-    _check_shift(s, A.nrows, "approximant input (rows)")
     s = tuple(s)
     if d <= PM_BASIS_THRESHOLD:
         raw = m_basis(d, A, s)

@@ -220,6 +220,15 @@ def mat_mul(A, B):
     _pack_many call per row, and each output row is one _unpack_many call:
     no array spans a whole operand or a whole output.
     """
+    return _mat_mul_window(A, B, 0, None)
+
+
+def _mat_mul_window(A, B, lo, hi):
+    """Coefficients lo..hi-1 of each entry of A * B, shifted down by x^lo.
+
+    hi None means up to the end.  The window is cut out of each packed sum
+    by a shift and a mask, so coefficients outside it are never unpacked.
+    """
     if not isinstance(A, PolyMatrix) or not isinstance(B, PolyMatrix):
         raise TypeError("mat_mul expects PolyMatrix operands")
     _check_same_field(A.field, B.field)
@@ -235,6 +244,9 @@ def mat_mul(A, B):
     slot = (bound.bit_length() + 7) // 8
     pb = [_pack_many([e.coeffs for e in row], slot) for row in B.rows]
     nlen = la + lb - 1
+    width = max((nlen if hi is None else min(hi, nlen)) - lo, 0)
+    shift = 8 * slot * lo
+    mask = (1 << (8 * slot * width)) - 1
     zero = field.zero()
     out = []
     for row in A.rows:
@@ -245,9 +257,9 @@ def mat_mul(A, B):
             for ak, brow in zip(arow, pb):
                 if ak and brow[j]:
                     acc += ak * brow[j]
-            accs.append(acc)
+            accs.append(acc >> shift & mask)
         nonzero = iter(_unpack_many([acc for acc in accs if acc], slot,
-                                    nlen, p))
+                                    width, p))
         out.append([Poly._raw(field, next(nonzero)) if acc else zero
                     for acc in accs])
     return PolyMatrix(field, out)

@@ -6,7 +6,8 @@ from simpade import (NEG_INF, Poly, PolyMatrix, PrimeField, cofactor_adjoint,
                      determinant, is_popov, is_row_reduced, mat_mul,
                      popov_canonical, row_space_membership,
                      shifted_leading_matrix, shifted_row_degrees)
-from simpade.polymat import mat_mul_trunc, row_pivot, vec_mat_mul
+from simpade.polymat import (_mat_mul_window, mat_mul_trunc, row_pivot,
+                             vec_mat_mul)
 
 from conftest import (EX1_N, GF2, random_matrix, random_poly,
                       random_unimodular)
@@ -143,6 +144,23 @@ def test_mat_mul_shape_errors():
         mat_mul(A, B)
     with pytest.raises(TypeError):
         mat_mul(A, [[1]])
+
+
+@pytest.mark.parametrize("p", [2, 97, 2**61 - 1, 2**64 - 59])
+def test_mat_mul_window_is_a_slice_of_the_product(p):
+    rng = random.Random(p % 997)
+    F = PrimeField(p)
+    lengths = (0, 1, 2, 25, 60, 130)
+    for _ in range(6):
+        n, m, r = (rng.randint(1, 4) for _ in range(3))
+        A = _matrix_with_lengths(rng, F, n, m, lengths)
+        B = _matrix_with_lengths(rng, F, m, r, lengths)
+        full = mat_mul(A, B)
+        for lo, hi in ((0, None), (0, 30), (30, 90), (100, None), (5, 5),
+                       (250, 400)):
+            want = [[Poly(F, e.coeffs[lo:hi]) for e in row]
+                    for row in full.rows]
+            assert _mat_mul_window(A, B, lo, hi) == PolyMatrix(F, want)
 
 
 def test_order_annihilation_golden(ex1_dual_g):
