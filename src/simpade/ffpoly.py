@@ -158,17 +158,22 @@ def _pack_many(coeff_tuples, slot):
 def _unpack_many(values, slot, n, p):
     """Inverse of _pack_many for n slots per value, reduced mod p and stripped.
 
-    With slot <= 8 every slot value fits one unsigned 64-bit word, so all
-    values are widened to words and reduced in one numpy pass.
+    With slot <= 8 every slot value fits one unsigned 64-bit word: a view
+    with stride slot reads each slot as a little-endian word (the joined
+    bytes are padded so the last read stays inside them), the bytes of the
+    following slots are masked off, and one in-place pass reduces mod p.
     """
     size = slot * n
-    data = b"".join([v.to_bytes(size, "little") for v in values])
     if slot <= 8:
         count = len(values) * n
-        buf = np.zeros((count, 8), dtype=np.uint8)
-        buf[:, :slot] = np.frombuffer(data, np.uint8).reshape(count, slot)
-        flat = (buf.view("<u8").ravel() % p).tolist()
+        data = b"".join([v.to_bytes(size, "little") for v in values]
+                        + [bytes(8 - slot)])
+        words = np.ndarray((count,), "<u8", data, strides=(slot,))
+        words = words & ((1 << 8 * slot) - 1)
+        words %= p
+        flat = words.tolist()
     else:
+        data = b"".join([v.to_bytes(size, "little") for v in values])
         flat = [int.from_bytes(data[i:i + slot], "little") % p
                 for i in range(0, len(data), slot)]
     return [_strip(tuple(flat[i * n:(i + 1) * n]))
