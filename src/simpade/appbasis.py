@@ -3,7 +3,8 @@
 m_basis raises the order one step at a time on coefficient arrays: each
 step is one shift-ordered elimination of the constant residual, applied to
 the basis and the residual by one broadcast update per pivot;
-pm_basis halves the order recursively and multiplies the partial bases;
+pm_basis halves the order recursively, unpacks only the residual's
+coefficients the second half needs and multiplies the partial bases;
 popov_basis normalises the result to the canonical shifted Popov form;
 neg_min_basis multiplies out, at the top split, only the rows of negative
 shifted degree and normalises only those.
